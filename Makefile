@@ -40,10 +40,13 @@ chaos-bench:
 		-run TestGrayFailureBreakerBenefit -v -timeout 20m ./internal/gateway
 
 # Short fuzz passes over the parsers that face untrusted bytes: the WAL
-# decoder (crash/corruption trichotomy) and the schedule API decoder.
+# decoder (crash/corruption trichotomy), the schedule API decoder and the
+# intake decoders of the server and the gateway.
 fuzz:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzScheduleDecode -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzReservationDecode -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzReservationDecode -fuzztime=10s ./internal/gateway
 
 cover:
 	$(GO) test -cover ./internal/... .

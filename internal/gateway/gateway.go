@@ -23,6 +23,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -452,8 +453,8 @@ type ShardFailure struct {
 }
 
 // AdvanceResponse aggregates a broadcast epoch close. The top-level
-// fields mirror horizon.EpochResult's JSON, so single-server clients
-// (cmd/vsphorizon) decode it unchanged: counters are summed, Horizon is
+// fields mirror horizon.EpochResult's JSON, so clients written against a
+// single server decode it unchanged: counters are summed, Horizon is
 // the slowest (minimum) shard commit horizon, Epoch the largest shard
 // epoch index. LagMS is the epoch-advance lag — the spread between the
 // fastest and slowest shard's advance round-trip.
@@ -767,10 +768,19 @@ func writeUpstreamErr(w http.ResponseWriter, sh *shard, err error) {
 	})
 }
 
+// writeJSON encodes v before it commits to a status: a value that does not
+// encode is answered 500 with a JSON error body, never code with an empty
+// body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		body.Reset()
+		_ = json.NewEncoder(&body).Encode(map[string]string{"error": "encode reply: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

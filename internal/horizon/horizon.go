@@ -23,10 +23,11 @@
 //     includes the frozen occupancy, never selecting a frozen copy as a
 //     rescheduling victim.
 //
-// Per-file IVS inside an epoch fans out over a bounded worker pool:
-// individual file schedules are independent until SORP integration, which
-// is exactly the paper's phase boundary. A reservation whose start time
-// already lies inside the frozen window is rejected with ErrLateArrival.
+// The last two steps are scheduler.Solve, the same solve core the one-shot
+// scheduler runs, handed the frozen prefix instead of standing seeds; its
+// per-file IVS fans out over a bounded worker pool. A reservation whose
+// start time already lies inside the frozen window is rejected with
+// ErrLateArrival.
 //
 // With everything submitted before the first epoch closes (all requests in
 // epoch 0, horizon 0), nothing freezes and the pipeline degenerates to the
@@ -38,16 +39,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/media"
-	"github.com/vodsim/vsp/internal/occupancy"
-	"github.com/vodsim/vsp/internal/parallel"
 	"github.com/vodsim/vsp/internal/schedule"
+	"github.com/vodsim/vsp/internal/scheduler"
 	"github.com/vodsim/vsp/internal/simtime"
 	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/units"
@@ -317,48 +316,16 @@ func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*EpochRes
 		workload.SortChronological(rs)
 	}
 
-	// Every file with frozen history or live requests needs a schedule;
-	// files with only frozen history carry their prefix through unchanged.
-	videoSet := make(map[media.VideoID]bool, len(frozen)+len(reqs))
-	for vid := range frozen {
-		videoSet[vid] = true
-	}
-	for vid := range reqs {
-		videoSet[vid] = true
-	}
-	videos := make([]media.VideoID, 0, len(videoSet))
-	for vid := range videoSet {
-		videos = append(videos, vid)
-	}
-	sort.Slice(videos, func(i, j int) bool { return videos[i] < videos[j] })
-
-	next, err := s.phase1(ctx, videos, reqs, frozen)
+	// Plan the open window on top of the frozen prefix with the one-shot
+	// scheduler's solve core; files with only frozen history carry their
+	// prefix through unchanged.
+	out, err := scheduler.Solve(ctx, s.m, scheduler.Problem{Requests: reqs, Frozen: frozen, Reservations: s.accepted},
+		scheduler.Config{Policy: s.cfg.Policy, Metric: s.cfg.Metric, Workers: s.cfg.Workers})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("horizon: epoch %d: %w", s.epoch, err)
 	}
-
-	ledger := occupancy.FromSchedule(s.m.Book().Topology(), s.m.Catalog(), next)
-	res.Overflows = len(ledger.AllOverflows())
-	if res.Overflows > 0 {
-		rr, err := sorp.ResolveContext(ctx, s.m, next, reqs, sorp.Options{
-			Metric:  s.cfg.Metric,
-			Policy:  s.cfg.Policy,
-			Frozen:  frozen,
-			Workers: s.cfg.Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("horizon: epoch %d resolution: %w", s.epoch, err)
-		}
-		next = rr.Schedule
-		res.Victims = rr.Victims
-	}
-
-	if err := next.Validate(s.m.Book().Topology(), s.m.Catalog(), s.accepted); err != nil {
-		return nil, fmt.Errorf("horizon: epoch %d produced invalid schedule: %w", s.epoch, err)
-	}
-	if l := occupancy.FromSchedule(s.m.Book().Topology(), s.m.Catalog(), next); len(l.AllOverflows()) > 0 {
-		return nil, fmt.Errorf("horizon: epoch %d leaves %d overflows unresolved", s.epoch, len(l.AllOverflows()))
-	}
+	res.Overflows = out.Overflows
+	res.Victims = out.Victims
 
 	// Journal the epoch boundary only after the plan extension succeeded:
 	// replaying the log re-runs exactly the Advances that committed, and a
@@ -369,8 +336,8 @@ func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*EpochRes
 		}
 	}
 
-	res.Cost = s.m.ScheduleCost(next)
-	s.committed = next
+	res.Cost = out.FinalCost
+	s.committed = out.Schedule
 	s.cost = res.Cost
 	s.horizon = to
 	s.epoch++
@@ -379,36 +346,6 @@ func (s *Service) advanceLocked(ctx context.Context, to simtime.Time) (*EpochRes
 	s.epochClock = simtime.Max(s.clock, to)
 	s.maybeSnapshotLocked()
 	return res, nil
-}
-
-// phase1 fans the per-file individual scheduling out over the shared
-// bounded worker pool (internal/parallel). File schedules are independent
-// in phase 1 (unbounded-storage assumption, paper §3.2), so this is safe;
-// results are assembled in video order, keeping the outcome byte-identical
-// to a sequential run.
-func (s *Service) phase1(ctx context.Context, videos []media.VideoID,
-	reqs map[media.VideoID][]workload.Request, frozen map[media.VideoID]*schedule.FileSchedule) (*schedule.Schedule, error) {
-
-	fss := make([]*schedule.FileSchedule, len(videos))
-	errs := make([]error, len(videos))
-	if err := parallel.Do(ctx, s.cfg.Workers, len(videos), func(i int) {
-		vid := videos[i]
-		fss[i], errs[i] = ivs.ScheduleFile(s.m, vid, reqs[vid], ivs.Options{
-			Policy: s.cfg.Policy,
-			Frozen: frozen[vid],
-		})
-	}); err != nil {
-		return nil, fmt.Errorf("horizon: epoch %d phase 1 aborted: %w", s.epoch, err)
-	}
-
-	next := schedule.New()
-	for i, vid := range videos {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("horizon: epoch %d phase 1 for video %d: %w", s.epoch, vid, errs[i])
-		}
-		next.Put(fss[i])
-	}
-	return next, nil
 }
 
 // splitFile divides one committed file schedule at the horizon. Deliveries

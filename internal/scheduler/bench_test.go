@@ -55,7 +55,8 @@ func BenchmarkSchedule10k(b *testing.B) {
 }
 
 // BenchmarkSchedulePhase1 isolates the phase-1 per-file fan-out on the same
-// rig as BenchmarkSchedule. Workers is left at 0 (GOMAXPROCS), so running
+// rig as BenchmarkSchedule; the only other work is one ledger build and the
+// structural validation. Workers is left at 0 (GOMAXPROCS), so running
 // it with `-cpu 1,4` compares the sequential path against a 4-worker pool
 // on identical input; benchjson turns the pair into phase1_parallel_speedup.
 // The output is byte-identical either way — only the wall clock moves, and
@@ -71,7 +72,7 @@ func BenchmarkSchedulePhase1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := scheduler.Config{SkipResolution: true, SkipValidation: true}
+	cfg := scheduler.Config{SkipResolution: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := scheduler.Run(r.Model, r.Requests, cfg); err != nil {

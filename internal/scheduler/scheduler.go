@@ -6,13 +6,10 @@ package scheduler
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/ivs"
 	"github.com/vodsim/vsp/internal/media"
-	"github.com/vodsim/vsp/internal/occupancy"
-	"github.com/vodsim/vsp/internal/parallel"
 	"github.com/vodsim/vsp/internal/schedule"
 	"github.com/vodsim/vsp/internal/sorp"
 	"github.com/vodsim/vsp/internal/units"
@@ -30,10 +27,6 @@ type Config struct {
 	// over-committed integrated schedule (used by studies that inspect
 	// raw overflows).
 	SkipResolution bool
-	// SkipValidation disables the final structural validation (the
-	// validation is cheap; this exists for benchmarks isolating pure
-	// scheduling time).
-	SkipValidation bool
 	// Refine enables the post-resolution improvement sweep: each file is
 	// rescheduled against the other files' actual disk usage and kept when
 	// strictly cheaper, repeating to a fixpoint. An extension beyond the
@@ -90,79 +83,24 @@ func Run(m *cost.Model, reqs workload.Set, cfg Config) (*Outcome, error) {
 // with ctx.Err() wrapped in the returned error. Work done so far is
 // discarded — a partial schedule is not a schedule.
 //
-// Phase 1 fans the per-file individual scheduling out over the bounded
-// worker pool selected by Config.Workers. File schedules are independent
-// in phase 1 (unbounded-storage assumption, paper §3.2), so this is safe;
-// results are merged in video-ID order, keeping the outcome byte-identical
-// to a sequential run.
+// Schedule partitions the batch per video and hands it to Solve together
+// with the configured seeds; the refinement sweep, when enabled, runs on
+// Solve's result and is checked the same way.
 func Schedule(ctx context.Context, m *cost.Model, reqs workload.Set, cfg Config) (*Outcome, error) {
 	parts := reqs.ByVideo()
-	videos := reqs.Videos()
-	s := schedule.New()
-	fss := make([]*schedule.FileSchedule, len(videos))
-	errs := make([]error, len(videos))
-	if err := parallel.Do(ctx, cfg.Workers, len(videos), func(i int) {
-		fss[i], errs[i] = ivs.ScheduleFile(m, videos[i], parts[videos[i]],
-			ivs.Options{Policy: cfg.Policy, Seeds: cfg.Seeds[videos[i]]})
-	}); err != nil {
-		return nil, fmt.Errorf("scheduler: phase 1 aborted: %w", err)
+	out, err := Solve(ctx, m, Problem{Requests: parts, Seeds: cfg.Seeds, Reservations: reqs}, cfg)
+	if err != nil || !cfg.Refine || cfg.SkipResolution {
+		return out, err
 	}
-	for i, vid := range videos {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("scheduler: phase 1 for video %d: %w", vid, errs[i])
-		}
-		s.Put(fss[i])
+	rr, err := refine(ctx, m, out.Schedule, parts, cfg.Policy, cfg.RefinePasses, cfg.Seeds)
+	if err != nil {
+		return nil, err
 	}
-	// Seeded videos nobody requested still occupy space and money; carry
-	// them so costs and occupancy stay truthful.
-	for vid, seeds := range cfg.Seeds {
-		if s.File(vid) != nil || len(seeds) == 0 {
-			continue
-		}
-		fs, err := ivs.ScheduleFile(m, vid, nil, ivs.Options{Policy: cfg.Policy, Seeds: seeds})
-		if err != nil {
-			return nil, fmt.Errorf("scheduler: seeding video %d: %w", vid, err)
-		}
-		s.Put(fs)
-	}
-	out := &Outcome{Schedule: s, Phase1Cost: m.ScheduleCost(s)}
-
-	ledger := occupancy.FromSchedule(m.Book().Topology(), m.Catalog(), s)
-	out.Overflows = len(ledger.AllOverflows())
-
-	if cfg.SkipResolution || out.Overflows == 0 {
-		out.FinalCost = out.Phase1Cost
-	} else {
-		res, err := sorp.ResolveContext(ctx, m, s, parts, sorp.Options{
-			Metric: cfg.Metric, Policy: cfg.Policy, Seeds: cfg.Seeds, Workers: cfg.Workers})
-		if err != nil {
-			return nil, fmt.Errorf("scheduler: phase 2: %w", err)
-		}
-		out.Schedule = res.Schedule
-		out.FinalCost = res.CostAfter
-		out.Victims = res.Victims
-	}
-
-	if cfg.Refine && !cfg.SkipResolution {
-		rr, err := refine(ctx, m, out.Schedule, parts, cfg.Policy, cfg.RefinePasses, cfg.Seeds)
-		if err != nil {
-			return nil, err
-		}
-		out.RefinedFiles = rr.moved
-		out.RefineSavings = rr.savings
-		out.FinalCost = m.ScheduleCost(out.Schedule)
-	}
-
-	if !cfg.SkipValidation {
-		if err := out.Schedule.Validate(m.Book().Topology(), m.Catalog(), reqs); err != nil {
-			return nil, fmt.Errorf("scheduler: produced invalid schedule: %w", err)
-		}
-		if !cfg.SkipResolution {
-			l := occupancy.FromSchedule(m.Book().Topology(), m.Catalog(), out.Schedule)
-			if ovs := l.AllOverflows(); len(ovs) > 0 {
-				return nil, fmt.Errorf("scheduler: %d overflows survive resolution, first %v", len(ovs), ovs[0])
-			}
-		}
+	out.RefinedFiles = rr.moved
+	out.RefineSavings = rr.savings
+	out.FinalCost = m.ScheduleCost(out.Schedule)
+	if err := check(m, out.Schedule, reqs, true); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

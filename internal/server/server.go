@@ -12,6 +12,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -541,10 +542,19 @@ func parsePolicy(s string) (ivs.Policy, error) {
 	return 0, fmt.Errorf("unknown policy %q", s)
 }
 
+// writeJSON encodes v before it commits to a status: a value that does not
+// encode is answered 500 with a JSON error body, never code with an empty
+// body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		body.Reset()
+		_ = json.NewEncoder(&body).Encode(map[string]string{"error": "encode reply: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {

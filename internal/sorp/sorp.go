@@ -11,8 +11,10 @@ package sorp
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/ivs"
@@ -97,6 +99,51 @@ type Victim struct {
 	Window   simtime.Interval
 	Heat     float64
 	Overhead units.Money
+}
+
+// MarshalJSON encodes a victim as its plain struct would, except that a
+// heat encoding/json cannot represent (+Inf when the overhead is zero or
+// negative) is written as a string such as "+Inf". Finite heats encode
+// byte-for-byte as a plain struct.
+func (v Victim) MarshalJSON() ([]byte, error) {
+	type plain Victim
+	if !math.IsInf(v.Heat, 0) && !math.IsNaN(v.Heat) {
+		return json.Marshal(plain(v))
+	}
+	return json.Marshal(struct {
+		plain
+		Heat string
+	}{plain(v), strconv.FormatFloat(v.Heat, 'g', -1, 64)})
+}
+
+// UnmarshalJSON decodes what MarshalJSON writes: a heat is either a JSON
+// number or a string strconv.ParseFloat accepts.
+func (v *Victim) UnmarshalJSON(b []byte) error {
+	type plain Victim
+	var aux struct {
+		plain
+		Heat json.RawMessage
+	}
+	if err := json.Unmarshal(b, &aux); err != nil {
+		return err
+	}
+	*v = Victim(aux.plain)
+	if len(aux.Heat) == 0 {
+		return nil
+	}
+	if aux.Heat[0] != '"' {
+		return json.Unmarshal(aux.Heat, &v.Heat)
+	}
+	var s string
+	if err := json.Unmarshal(aux.Heat, &s); err != nil {
+		return err
+	}
+	h, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return fmt.Errorf("sorp: victim heat %q: %w", s, err)
+	}
+	v.Heat = h
+	return nil
 }
 
 // Result summarizes a resolution run.
