@@ -56,14 +56,17 @@ bench:
 
 # Machine-readable scheduler benchmark record (ns/op, allocs/op for the
 # one-shot solver and the rolling-horizon incremental extension, plus
-# their speedup ratio). The later runs exercise the parallel fan-out at
+# their speedup ratio). The first run is pinned to -cpu 1: benchjson keys
+# results by (name, cpu), and a suffix-free line keys as cpu 1, so the
+# committed BenchmarkSchedule baseline stays comparable with bench-smoke
+# on any core count. The later runs exercise the parallel fan-out at
 # -cpu 1,4 — both the isolated phase 1 and the full 10k-request solve —
 # so benchjson can derive phase1_parallel_speedup from the matched pair,
 # and the gateway submit pair at -cpu 4 so it can derive
 # gateway_submit_speedup_3shards. Committed as BENCH_scheduler.json.
 bench-json:
 	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvance$$|BenchmarkFullResolve$$' \
-		-benchmem ./internal/scheduler ./internal/horizon ; \
+		-cpu 1 -benchmem ./internal/scheduler ./internal/horizon ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkSchedulePhase1$$' -cpu 1,4 \
 		-benchmem ./internal/scheduler ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkGatewaySubmit' -cpu 4 \
@@ -76,8 +79,10 @@ bench-json:
 # 3 single iterations) must stay within 2x of the committed
 # BENCH_scheduler.json baseline. Catches order-of-magnitude hot-path
 # regressions without the cost or noise-sensitivity of a full bench run.
+# Pinned to -cpu 1 to match the baseline's (name, cpu) key on multi-core
+# runners, which would otherwise print BenchmarkSchedule-N.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkSchedule$$' -short -benchtime=1x -count=3 \
+	$(GO) test -run='^$$' -bench='BenchmarkSchedule$$' -short -benchtime=1x -count=3 -cpu 1 \
 		./internal/scheduler \
 		| $(GO) run ./cmd/benchjson -check BENCH_scheduler.json -max-ratio 2
 

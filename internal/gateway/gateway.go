@@ -146,9 +146,9 @@ func (sh *shard) view(i int) View {
 // Gateway fronts the shards. It is an http.Handler safe for concurrent
 // use; Close it after the HTTP server has drained.
 type Gateway struct {
-	shards      []*shard
-	policy      Placement
-	retry       retryhttp.Options
+	shards       []*shard
+	policy       Placement
+	retry        retryhttp.Options
 	autoAdvance  bool
 	advanceLag   simtime.Duration
 	shardTimeout time.Duration

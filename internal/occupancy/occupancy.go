@@ -225,9 +225,9 @@ type Ledger struct {
 	// Unlike the nodes array it is never inherited by Clone, so the slices
 	// inside are exclusively owned and rebuilt in place.
 	snap []nodeSnap
-	// queried, when non-nil, records the nodes whose occupancy state
+	// queried, when non-nil, records per node how its occupancy state
 	// influenced query answers (see TrackQueries).
-	queried []bool
+	queried []nodeRead
 	// base, when non-nil, marks this ledger as an overlay view returned by
 	// OverlayWithout: the nodes array holds only the view's own delta
 	// (masked-out videos' negated records plus local additions) and queries
@@ -328,25 +328,71 @@ func (l *Ledger) dirty(node topology.NodeID) {
 // to re-evaluate only candidate reschedules whose inputs moved.
 func (l *Ledger) Version(node topology.NodeID) uint64 { return l.nodes[node].ver }
 
-// TrackQueries starts recording the nodes whose occupancy state influences
-// subsequent query answers (CanFit, SpaceAt, Peak, Overflows, OverflowSet).
-// The trace is not inherited by clones.
-func (l *Ledger) TrackQueries() { l.queried = make([]bool, l.topo.NumNodes()) }
+// Read is one node's footprint in a tracked query trace (see
+// TrackQueries).
+//
+// An indexed CanFit answer depends on the node's profile only through the
+// sign of total − (capacity+eps) at the times its sweep evaluates, all of
+// which lie inside the candidate's support. So a profile change that moves
+// no total inside Hull by Slack or more cannot flip any recorded answer.
+// Whole marks a node read some other way, whose answers may depend on
+// any part of its profile.
+type Read struct {
+	Node topology.NodeID
+	// Whole is set when the node answered any query other than an indexed
+	// CanFit/CanFitExcluding, or any query of a naive-mode ledger; Hull
+	// and Slack then bound nothing.
+	Whole bool
+	// Hull spans the supports of every CanFit sweep at the node.
+	Hull simtime.Interval
+	// Slack is the least |total − (capacity+eps)| over every time those
+	// sweeps evaluated.
+	Slack float64
+}
 
-// QueriedNodes returns the recorded trace in ascending node order.
-func (l *Ledger) QueriedNodes() []topology.NodeID {
-	var out []topology.NodeID
-	for n, q := range l.queried {
-		if q {
-			out = append(out, topology.NodeID(n))
+// nodeRead is one node's slot in a query trace.
+type nodeRead struct {
+	read, whole bool
+	hull        simtime.Interval
+	slack       float64
+}
+
+// TrackQueries starts recording how each node's occupancy state influences
+// subsequent query answers (see Read). The trace is not inherited by
+// clones.
+func (l *Ledger) TrackQueries() { l.queried = make([]nodeRead, l.topo.NumNodes()) }
+
+// Reads returns the recorded trace in ascending node order.
+func (l *Ledger) Reads() []Read {
+	var out []Read
+	for n, r := range l.queried {
+		if r.read {
+			out = append(out, Read{Node: topology.NodeID(n), Whole: r.whole, Hull: r.hull, Slack: r.slack})
 		}
 	}
 	return out
 }
 
+// touch records a whole-profile read of the node.
 func (l *Ledger) touch(node topology.NodeID) {
 	if l.queried != nil {
-		l.queried[node] = true
+		l.queried[node].read = true
+		l.queried[node].whole = true
+	}
+}
+
+// noteFit records an indexed CanFit sweep over sup whose evaluated totals
+// came no closer than slack to the fit threshold.
+func (l *Ledger) noteFit(node topology.NodeID, sup simtime.Interval, slack float64) {
+	r := &l.queried[node]
+	if !r.read {
+		*r = nodeRead{read: true, hull: sup, slack: slack}
+		return
+	}
+	r.hull.Start = simtime.Min(r.hull.Start, sup.Start)
+	r.hull.End = simtime.Max(r.hull.End, sup.End)
+	if slack < r.slack {
+		r.slack = slack
 	}
 }
 
@@ -547,7 +593,7 @@ func (l *Ledger) Clone() *Ledger {
 // the winning view is materialized back into a real ledger (Flatten).
 //
 // The view supports the rejective greedy's working set — Add, Update,
-// RemoveVideo, CanFit/CanFitExcluding, SpaceAt, TrackQueries/QueriedNodes
+// RemoveVideo, CanFit/CanFitExcluding, SpaceAt, TrackQueries/Reads
 // — and panics on whole-profile walks (Peak, Overflows, OverflowSet) and
 // on Clone. Mutations must be limited to residencies of videos the view
 // has removed, which is exactly the greedy's contract: it only places
@@ -1097,8 +1143,8 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 	if l.isWh[node] {
 		return true
 	}
-	l.touch(node)
 	if l.naive {
+		l.touch(node)
 		return l.canFitNaive(c, exclude)
 	}
 	v := l.catalog.Video(c.Video)
@@ -1177,6 +1223,8 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 	// end at an evaluated breakpoint, and every negated Load jump
 	// coincides with the base's positive one, so the merged profile never
 	// jumps downward (left limits equal evaluated post-jump values).
+	track := l.queried != nil
+	slack := math.Inf(1)
 	bval, bslope := 0.0, 0.0
 	var bt simtime.Time
 	bactive := bk >= 0
@@ -1229,10 +1277,21 @@ func (l *Ledger) CanFitExcluding(c schedule.Residency, exclude *Ref) bool {
 		if bactive {
 			total += bval + bslope*T.Sub(bt).Seconds()
 		}
+		if track {
+			if d := math.Abs(total - (capacity + eps)); d < slack {
+				slack = d
+			}
+		}
 		if total > capacity+eps {
+			if track {
+				l.noteFit(node, sup, slack)
+			}
 			return false
 		}
 		if T == sup.End {
+			if track {
+				l.noteFit(node, sup, slack)
+			}
 			return true
 		}
 		next := sup.End

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 
 	"github.com/vodsim/vsp/internal/cost"
@@ -172,11 +173,6 @@ func Resolve(m *cost.Model, s *schedule.Schedule, reqs map[media.VideoID][]workl
 // the (potentially long) resolution loop promptly with ctx.Err() wrapped
 // in the returned error.
 func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[media.VideoID][]workload.Request, opts Options) (*Result, error) {
-	if opts.Metric == 0 {
-		opts.Metric = SpacePerCost
-	}
-	topo := m.Book().Topology()
-	nreq := 0
 	for _, vid := range s.VideoIDs() {
 		want := len(s.Files[vid].Deliveries)
 		if pre := opts.Frozen[vid]; pre != nil {
@@ -185,6 +181,20 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 		if got := len(reqs[vid]); got != want {
 			return nil, fmt.Errorf("sorp: video %d has %d un-frozen requests but %d reschedulable deliveries", vid, got, want)
 		}
+	}
+	return resolve(ctx, m, s, reqs, opts, newResolveCache())
+}
+
+// resolve is ResolveContext's loop on a given cache: the tests swap the
+// cache's memo rule for reference rules through it.
+func resolve(ctx context.Context, m *cost.Model, s *schedule.Schedule, reqs map[media.VideoID][]workload.Request,
+	opts Options, cache *resolveCache) (*Result, error) {
+	if opts.Metric == 0 {
+		opts.Metric = SpacePerCost
+	}
+	topo := m.Book().Topology()
+	nreq := 0
+	for _, vid := range s.VideoIDs() {
 		nreq += len(reqs[vid])
 	}
 	work := s.Clone()
@@ -196,7 +206,6 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 		CostBefore:       m.ScheduleCost(s),
 	}
 
-	cache := newResolveCache()
 	for iter := 0; ; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sorp: resolution aborted: %w", err)
@@ -219,22 +228,24 @@ func ResolveContext(ctx context.Context, m *cost.Model, s *schedule.Schedule, re
 		if best.schedule == nil {
 			// The winner was revalidated from the pair cache, which keeps
 			// only the decision-ranking fields. Replay the reschedule on a
-			// fresh view of the current ledger: the cache's validity
-			// conditions (unchanged file, unchanged touched-node profiles)
-			// guarantee the replay makes the identical placement decisions,
-			// and the replayed view reflects the current base state.
+			// fresh view of the current ledger: the memo rule guarantees the
+			// replay makes the identical placement decisions, and the check
+			// below holds it to that bit for bit.
+			vid := best.record.Video
 			of := occupancy.Overflow{Node: best.record.Node, Interval: best.record.Window}
-			rs := rescheduleFile(m, ledger.OverlayWithout(best.record.Video), best.record.Video, of,
-				reqs[best.record.Video], opts, cache.fileCost[best.record.Video])
-			if !rs.ok {
-				return nil, fmt.Errorf("sorp: cached victim (video %d) failed to replay", best.record.Video)
+			rs := rescheduleFile(m, ledger.OverlayWithout(vid), vid, of, reqs[vid], opts, cache.fileCost[vid])
+			if !rs.ok || math.Float64bits(float64(rs.overhead)) != math.Float64bits(float64(best.overhead)) {
+				return nil, fmt.Errorf("sorp: memoized victim (video %d) replayed to overhead %v (ok=%t), memo holds %v",
+					vid, rs.overhead, rs.ok, best.overhead)
 			}
 			best.schedule, best.ledger, best.newCost = rs.fs, rs.ledger, rs.newCost
 		}
 		// Commit the winning candidate: materializing its overlay view
 		// yields the ledger with the rescheduled file applied.
+		next := best.ledger.Flatten()
+		cache.logCommit(m, ledger, next, work.File(best.record.Video), best.schedule)
 		work.Put(best.schedule)
-		ledger = best.ledger.Flatten()
+		ledger = next
 		cache.fileVer[best.record.Video]++
 		cache.fileCost[best.record.Video] = best.newCost
 		res.Victims = append(res.Victims, best.record)
@@ -261,56 +272,172 @@ type pairKey struct {
 }
 
 // pairEntry memoizes the outcome of one (overflow, video) evaluation
-// across resolution iterations. It stays valid while (a) the victim file
-// itself is unchanged (fileVer) and (b) every node whose occupancy answers
-// the evaluation read is at the same profile version (touched/vers) — the
-// rejective greedy's decisions depend on the base ledger only through
-// CanFit queries, so unchanged answers replay to an identical schedule and
-// identical overhead. heats memoizes computeHeat per involved residency
-// (ref.Index); the improvement term depends only on the residency and the
-// overflow window, both pinned by the validity conditions.
+// across resolution iterations. The rejective greedy reads the base ledger
+// only through CanFit answers on its view, so the memo stands in for a
+// re-run while (a) the victim file itself is unchanged (fileVer) and (b)
+// no commit since it was taken can have flipped one of those answers (see
+// resolveCache.reusable): unchanged answers replay to an identical
+// schedule and identical overhead. reads holds the evaluation's per-node
+// query trace and the node versions it was last proven current at. heats
+// memoizes computeHeat per involved residency (ref.Index); the improvement
+// term depends only on the residency and the overflow window, both pinned
+// by the validity conditions.
 type pairEntry struct {
 	ok       bool
 	overhead units.Money
 	fileVer  uint64
-	touched  []topology.NodeID
-	vers     []uint64
+	reads    []memoRead
 	heats    map[int]float64
 }
 
+// memoRead is one node's read footprint plus the node's version when the
+// footprint was last proven current.
+type memoRead struct {
+	occupancy.Read
+	ver uint64
+}
+
+// copySpan is one copy a commit added or dropped at a node: its Eq. 6 peak
+// γ·size and its support.
+type copySpan struct {
+	peak float64
+	sup  simtime.Interval
+}
+
+// nodeCommit records how one commit moved one node's profile: the node's
+// version before and after, and the victim's copies that differ between
+// its old and new file there. A node can move with no differing copy (the
+// commit re-adds the victim's unchanged copies); only float residue then
+// separates the profiles.
+type nodeCommit struct {
+	from, to uint64
+	copies   []copySpan
+}
+
+// residueMargin bounds, in bytes, how far two sweeps of the same exact
+// profile may disagree after a commit rebuilt the node's prefix sums:
+// occupancy totals carry milli-byte noise at most (see the ledger's eps).
+const residueMargin = 1.0
+
 // resolveCache carries SORP's incremental state across iterations: the
-// (overflow, video) evaluation memos and, per video, the committed file's
-// version counter and Ψ contribution. Committing a victim bumps only that
-// file's version and only the rescheduled nodes' profile versions, so the
-// next iteration re-evaluates just the pairs the commit actually touched —
-// every other pair's heat and overhead are reused, and overheads are Ψ
-// deltas against the cached per-file cost instead of full re-costings.
+// (overflow, video) evaluation memos, the per-node commit log they are
+// revalidated against, and, per video, the committed file's version
+// counter and Ψ contribution. Overheads are Ψ deltas against the cached
+// per-file cost instead of full re-costings.
 type resolveCache struct {
 	pairs    map[pairKey]*pairEntry
 	fileVer  map[media.VideoID]uint64
 	fileCost map[media.VideoID]units.Money
+	// commits holds, per node, the commits that moved its version, in
+	// commit order.
+	commits map[topology.NodeID][]nodeCommit
+	// reuse decides whether a memo may stand in for re-running its
+	// evaluation against the current ledger: reusable, unless a test
+	// substitutes a reference rule.
+	reuse func(pe *pairEntry, ledger *occupancy.Ledger, fileVer uint64) bool
 }
 
 func newResolveCache() *resolveCache {
-	return &resolveCache{
+	c := &resolveCache{
 		pairs:    make(map[pairKey]*pairEntry),
 		fileVer:  make(map[media.VideoID]uint64),
 		fileCost: make(map[media.VideoID]units.Money),
+		commits:  make(map[topology.NodeID][]nodeCommit),
 	}
+	c.reuse = c.reusable
+	return c
 }
 
-// valid reports whether the memo may stand in for re-running the
-// evaluation against the current base ledger.
-func (pe *pairEntry) valid(ledger *occupancy.Ledger, fileVer uint64) bool {
+// reusable is the exact memo rule. At a read node whose version has moved
+// since the memo was taken, the commits in between changed the profile
+// inside the read hull by at most their drift (see drift). While the drift
+// stays below the read's slack no evaluated total can have crossed the fit
+// threshold, so every CanFit answer — and with them the whole reschedule —
+// is unchanged. A kept entry rolls its versions forward and is charged the
+// drift against its slack, so drift across many commits adds up. A
+// whole-profile read demands an unchanged version. A rejected entry is
+// discarded, so rolling some of its reads forward first is harmless.
+func (c *resolveCache) reusable(pe *pairEntry, ledger *occupancy.Ledger, fileVer uint64) bool {
 	if pe.fileVer != fileVer {
 		return false
 	}
-	for i, n := range pe.touched {
-		if ledger.Version(n) != pe.vers[i] {
+	for i := range pe.reads {
+		r := &pe.reads[i]
+		cur := ledger.Version(r.Node)
+		if cur == r.ver {
+			continue
+		}
+		if r.Whole {
 			return false
 		}
+		drift, ok := c.drift(r.Node, r.ver, cur, r.Hull)
+		if !ok || drift >= r.Slack {
+			return false
+		}
+		r.Slack -= drift
+		r.ver = cur
 	}
 	return true
+}
+
+// drift bounds how far the node's profile inside hull moved between
+// versions from and to: the summed peaks of the logged copies whose support
+// meets the hull, plus residueMargin. ok is false when the log does not
+// chain from one version to the other.
+func (c *resolveCache) drift(node topology.NodeID, from, to uint64, hull simtime.Interval) (float64, bool) {
+	log := c.commits[node]
+	i := sort.Search(len(log), func(k int) bool { return log[k].from >= from })
+	sum := residueMargin
+	for ; i < len(log) && log[i].from == from && from != to; i++ {
+		for _, cs := range log[i].copies {
+			if cs.sup.Start <= hull.End && hull.Start <= cs.sup.End {
+				sum += cs.peak
+			}
+		}
+		from = log[i].to
+	}
+	return sum, from == to
+}
+
+// logCommit logs the commit of newFile over oldFile: for every node whose
+// version it moves from before to after, the copies that differ between
+// the two files there, in file order.
+func (c *resolveCache) logCommit(m *cost.Model, before, after *occupancy.Ledger, oldFile, newFile *schedule.FileSchedule) {
+	v := m.Catalog().Video(newFile.Video)
+	type profile struct {
+		loc        topology.NodeID
+		load, last simtime.Time
+	}
+	// net counts each profile's copies in the new file minus the old one.
+	net := make(map[profile]int)
+	for _, r := range oldFile.Residencies {
+		net[profile{r.Loc, r.Load, r.LastService}]--
+	}
+	for _, r := range newFile.Residencies {
+		net[profile{r.Loc, r.Load, r.LastService}]++
+	}
+	moved := make(map[topology.NodeID][]copySpan)
+	for _, side := range []struct {
+		rs   []schedule.Residency
+		sign int
+	}{{oldFile.Residencies, -1}, {newFile.Residencies, 1}} {
+		for _, r := range side.rs {
+			p := profile{r.Loc, r.Load, r.LastService}
+			if net[p]*side.sign <= 0 {
+				continue // matched by a copy on the other side
+			}
+			net[p] -= side.sign
+			if peak := r.Gamma(v.Playback) * v.Size.Float(); peak != 0 {
+				moved[r.Loc] = append(moved[r.Loc], copySpan{peak: peak, sup: r.Support(v.Playback)})
+			}
+		}
+	}
+	for n := 0; n < m.Book().Topology().NumNodes(); n++ {
+		node := topology.NodeID(n)
+		if from, to := before.Version(node), after.Version(node); from != to {
+			c.commits[node] = append(c.commits[node], nodeCommit{from: from, to: to, copies: moved[node]})
+		}
+	}
 }
 
 // iterationBound returns the safety valve for the resolution loop. An
@@ -397,7 +524,7 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 				continue
 			}
 			key := pairKey{node: of.Node, interval: of.Interval, video: ref.Video}
-			if pe := cache.pairs[key]; pe != nil && pe.valid(ledger, cache.fileVer[ref.Video]) {
+			if pe := cache.pairs[key]; pe != nil && cache.reuse(pe, ledger, cache.fileVer[ref.Video]) {
 				pairOf[oi][ref.Video] = pe
 				continue
 			}
@@ -424,10 +551,8 @@ func selectVictim(ctx context.Context, m *cost.Model, work *schedule.Schedule, l
 		j := &jobs[i]
 		j.entry.ok = j.result.ok
 		j.entry.overhead = j.result.overhead
-		j.entry.touched = j.tmp.QueriedNodes()
-		j.entry.vers = j.entry.vers[:0]
-		for _, n := range j.entry.touched {
-			j.entry.vers = append(j.entry.vers, ledger.Version(n))
+		for _, r := range j.tmp.Reads() {
+			j.entry.reads = append(j.entry.reads, memoRead{Read: r, ver: ledger.Version(r.Node)})
 		}
 	}
 
