@@ -55,8 +55,10 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Machine-readable scheduler benchmark record (ns/op, allocs/op for the
-# one-shot solver and the rolling-horizon incremental extension, plus
-# their speedup ratio). The first run is pinned to -cpu 1: benchjson keys
+# one-shot solver, the rejective greedy's single re-plan under SORP, and
+# the rolling-horizon incremental extension, plus their speedup ratio),
+# stamped with the machine it ran on (core count, GOMAXPROCS, CPU
+# model). The first run is pinned to -cpu 1: benchjson keys
 # results by (name, cpu), and a suffix-free line keys as cpu 1, so the
 # committed BenchmarkSchedule baseline stays comparable with bench-smoke
 # on any core count. The later runs exercise the parallel fan-out at
@@ -65,8 +67,8 @@ bench:
 # and the gateway submit pair at -cpu 4 so it can derive
 # gateway_submit_speedup_3shards. Committed as BENCH_scheduler.json.
 bench-json:
-	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkHorizonAdvance$$|BenchmarkFullResolve$$' \
-		-cpu 1 -benchmem ./internal/scheduler ./internal/horizon ; \
+	( $(GO) test -run='^$$' -bench='BenchmarkSchedule$$|BenchmarkScheduleFileRejective$$|BenchmarkHorizonAdvance$$|BenchmarkFullResolve$$' \
+		-cpu 1 -benchmem ./internal/scheduler ./internal/ivs ./internal/horizon ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkSchedulePhase1$$' -cpu 1,4 \
 		-benchmem ./internal/scheduler ; \
 	  $(GO) test -run='^$$' -bench='BenchmarkGatewaySubmit' -cpu 4 \

@@ -47,7 +47,14 @@ type Report struct {
 	// parallelism, so the per-entry CPU field alone cannot tell a real
 	// parallel measurement from goroutine-scheduling noise — this field
 	// is what the derived-ratio gating below keys on.
-	NumCPU     int         `json:"num_cpu"`
+	NumCPU int `json:"num_cpu"`
+	// GOMAXPROCS is the default the benchmarks ran with wherever -cpu did
+	// not override it (as seen by benchjson, which runs in the same
+	// environment), and CPUModel the host's CPU model from /proc/cpuinfo,
+	// "unknown" where that is unavailable. Together with NumCPU they name
+	// the machine class a baseline is comparable with.
+	GOMAXPROCS int         `json:"gomaxprocs"`
+	CPUModel   string      `json:"cpu_model"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 	// HorizonSpeedup is BenchmarkFullResolve's ns/op over
 	// BenchmarkHorizonAdvance's: how much work the rolling-horizon
@@ -131,10 +138,12 @@ func parse(r io.Reader) (*Report, error) {
 // exercise both sides of the cores<2 gating.
 func parseWithCPU(r io.Reader, numCPU int) (*Report, error) {
 	rep := &Report{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    numCPU,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     numCPU,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel(),
 	}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -154,6 +163,33 @@ func parseWithCPU(r io.Reader, numCPU int) (*Report, error) {
 	}
 	derive(rep)
 	return rep, nil
+}
+
+// cpuModel returns the host's CPU model name from /proc/cpuinfo, or
+// "unknown" where the file is missing or names no model.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	return parseCPUModel(f)
+}
+
+// parseCPUModel returns the first non-empty "model name" value of a
+// /proc/cpuinfo listing, or "unknown" if there is none (as on most ARM
+// hosts, whose listings name parts instead).
+func parseCPUModel(r io.Reader) string {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		key, val, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			if v := strings.TrimSpace(val); v != "" {
+				return v
+			}
+		}
+	}
+	return "unknown"
 }
 
 // derive fills the ratio fields the report carries beyond the raw lines.
@@ -249,6 +285,9 @@ func compare(base, cur *Report, maxRatio float64) ([]string, error) {
 		return nil, fmt.Errorf("no benchmark in the input matches the baseline")
 	}
 	var lines []string
+	if base.CPUModel != "" && base.CPUModel != cur.CPUModel {
+		lines = append(lines, fmt.Sprintf("note: baseline recorded on %q, this run on %q", base.CPUModel, cur.CPUModel))
+	}
 	var regressed []string
 	for _, k := range keys {
 		b, c := bi[k], ci[k]

@@ -64,6 +64,9 @@ func TestParse(t *testing.T) {
 	if rep.NumCPU != 8 {
 		t.Fatalf("num_cpu = %d, want 8", rep.NumCPU)
 	}
+	if rep.GOMAXPROCS < 1 || rep.CPUModel == "" {
+		t.Fatalf("machine fields missing: gomaxprocs %d, cpu_model %q", rep.GOMAXPROCS, rep.CPUModel)
+	}
 	if rep.ParallelNote != "" {
 		t.Fatalf("multi-core report flagged: %q", rep.ParallelNote)
 	}
@@ -207,5 +210,37 @@ func TestParseRejectsEmptyInput(t *testing.T) {
 func TestParseLineMalformedCount(t *testing.T) {
 	if _, _, err := parseLine("BenchmarkX-8  notanint  12 ns/op"); err == nil {
 		t.Fatal("malformed iteration count must fail")
+	}
+}
+
+// The machine's CPU model comes from the first "model name" line of
+// /proc/cpuinfo; listings without one (ARM hosts, or no file at all)
+// record "unknown".
+func TestParseCPUModel(t *testing.T) {
+	for _, tc := range []struct{ name, in, want string }{
+		{"x86", "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel\t\t: 85\nmodel name\t: Intel(R) Xeon(R) Processor\n\nprocessor\t: 1\nmodel name\t: Other\n",
+			"Intel(R) Xeon(R) Processor"},
+		{"empty value skipped", "model name\t:\nmodel name\t: AMD EPYC 7B13\n", "AMD EPYC 7B13"},
+		{"arm", "processor\t: 0\nBogoMIPS\t: 50.00\nCPU implementer\t: 0x41\nCPU part\t: 0xd0c\n", "unknown"},
+		{"empty", "", "unknown"},
+	} {
+		if got := parseCPUModel(strings.NewReader(tc.in)); got != tc.want {
+			t.Errorf("%s: cpu model %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// -check notes a baseline taken on a different CPU model, since its
+// ratios then compare machines as well as code.
+func TestCompareNotesMachineChange(t *testing.T) {
+	base := &Report{CPUModel: "A", Benchmarks: []Benchmark{{Name: "BenchmarkSchedule", NsPerOp: 1}}}
+	cur := &Report{CPUModel: "B", Benchmarks: []Benchmark{{Name: "BenchmarkSchedule", NsPerOp: 1}}}
+	lines, err := compare(base, cur, 2)
+	if err != nil || len(lines) != 2 || !strings.Contains(lines[0], `"A"`) || !strings.Contains(lines[0], `"B"`) {
+		t.Fatalf("lines %q, err %v: want a machine note before the verdict", lines, err)
+	}
+	cur.CPUModel = "A"
+	if lines, _ := compare(base, cur, 2); len(lines) != 1 {
+		t.Fatalf("lines %q: a same-machine compare carries no note", lines)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/vodsim/vsp/internal/cost"
 	"github.com/vodsim/vsp/internal/media"
+	"github.com/vodsim/vsp/internal/occupancy"
 	"github.com/vodsim/vsp/internal/pricing"
 	"github.com/vodsim/vsp/internal/routing"
 	"github.com/vodsim/vsp/internal/simtime"
@@ -62,5 +63,46 @@ func BenchmarkScheduleFileChain(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkScheduleFileRejective isolates the rejective greedy, the layer
+// under SORP's victim search: one banned re-plan of one file on an overlay
+// view of a loaded, overflowing ledger. The rig mirrors the batch-solve
+// metro (15 storages of 5 GB, 10 users each, 100 titles, 1,500 Zipf
+// requests over 12 hours); the re-planned pair is the first overflow and
+// its involved video with the most requests.
+func BenchmarkScheduleFileRejective(b *testing.B) {
+	rig, err := testutil.NewPaperRig(15, 10, 100, 5*units.GB, testutil.PerGBHour(5), pricing.PerGB(500), 1997)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs, err := workload.Generate(rig.Topo, rig.Catalog, workload.Config{
+		Alpha: 0.271, Window: 12 * simtime.Hour, RequestsPerUser: 10, Seed: 9,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	byVideo := reqs.ByVideo()
+	_, ledger := phase1(b, rig.Model, byVideo, nil, nil)
+	ovs := ledger.AllOverflows()
+	if len(ovs) == 0 {
+		b.Fatal("the rig does not overflow")
+	}
+	of := ovs[0]
+	vid := ledger.OverflowSet(of.Node, of.Interval)[0].Video
+	for _, ref := range ledger.OverflowSet(of.Node, of.Interval) {
+		if n := len(byVideo[ref.Video]); n > len(byVideo[vid]) || n == len(byVideo[vid]) && ref.Video < vid {
+			vid = ref.Video
+		}
+	}
+	opts := Options{Banned: []occupancy.Banned{{Node: of.Node, Interval: of.Interval}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.Ledger = ledger.OverlayWithout(vid)
+		if _, err := ScheduleFile(rig.Model, vid, byVideo[vid], opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -99,6 +99,11 @@ type Options struct {
 	// frozenRes is the number of leading residencies that belong to the
 	// frozen prefix, set internally by ScheduleFile.
 	frozenRes int
+	// reask, when non-nil, is called for every dead copy serveOne skips,
+	// with the extension it would have priced; returning true evaluates
+	// the copy anyway. A test seam: the tests re-check each skip through
+	// it and run a never-prune reference.
+	reask func(j int, extended schedule.Residency) bool
 }
 
 // moneyEps breaks cost ties deterministically: candidates within this
@@ -120,6 +125,25 @@ const moneyEps = 1e-9
 type copyKey struct {
 	loc  topology.NodeID
 	load simtime.Time
+}
+
+// copyState is ScheduleFile's working state for one residency, kept
+// parallel to the file's Residencies.
+type copyState struct {
+	// cost caches the residency's current span cost — the subtrahend of
+	// every candidate price (cost.CandidateCost). Maintained on extension
+	// and on tentative open, it halves the SpanCost work in the candidate
+	// loop.
+	cost units.Money
+	// dead marks a copy whose extension failed the ban or the capacity
+	// check; serveOne skips it before pricing for the rest of the plan.
+	// This is exact because within one ScheduleFile a failed check stays
+	// failed: the ledger's profile only grows (the greedy only adds or
+	// extends this file's own copies), a dead copy is never chosen again
+	// so its own registered profile stays put, and an extension's Eq. 6
+	// profile and support grow pointwise with LastService while requests
+	// arrive in chronological order.
+	dead bool
 }
 
 // ScheduleFile computes the schedule S_i for one file's request set. The
@@ -170,17 +194,11 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 	fs.Deliveries = slices.Grow(fs.Deliveries, len(ordered))
 	fs.Residencies = slices.Grow(fs.Residencies, 2*len(ordered))
 	seen := make(map[copyKey]struct{}, len(fs.Residencies)+len(ordered))
-	for _, c := range fs.Residencies {
-		seen[copyKey{c.Loc, c.Load}] = struct{}{}
-	}
-	// oldCosts[j] caches fs.Residencies[j]'s current span cost — the
-	// subtrahend of every candidate price (cost.CandidateCost). Maintained
-	// on extension and on tentative open, it halves the SpanCost work in
-	// the candidate loop.
-	oldCosts := make([]units.Money, len(fs.Residencies), cap(fs.Residencies))
+	copies := make([]copyState, len(fs.Residencies), cap(fs.Residencies))
 	for j := range fs.Residencies {
 		c := &fs.Residencies[j]
-		oldCosts[j] = cost.SpanCost(m.Book().SRate(c.Loc), v.Size, v.Playback, c.Span())
+		seen[copyKey{c.Loc, c.Load}] = struct{}{}
+		copies[j].cost = cost.SpanCost(m.Book().SRate(c.Loc), v.Size, v.Playback, c.Span())
 	}
 	for _, r := range ordered {
 		if r.Video != video {
@@ -189,7 +207,7 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 		if int(r.User) < 0 || int(r.User) >= topo.NumUsers() {
 			return nil, fmt.Errorf("ivs: unknown user %d", r.User)
 		}
-		if err := serveOne(m, v, stream, fs, r, opts, seen, &oldCosts); err != nil {
+		if err := serveOne(m, v, stream, fs, r, opts, seen, &copies); err != nil {
 			return nil, err
 		}
 	}
@@ -199,11 +217,11 @@ func ScheduleFile(m *cost.Model, video media.VideoID, reqs []workload.Request, o
 
 // serveOne schedules request r given the partial schedule fs, choosing the
 // minimum-incremental-cost supply point (paper §3.2 steps 2–3). seen is
-// the incremental (node, load) index of fs.Residencies; stream is the
-// video's precomputed StreamBytes().Float(), hoisted out of the candidate
-// loop (every candidate is priced, so the per-candidate work is pure rate
-// arithmetic).
-func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSchedule, r workload.Request, opts Options, seen map[copyKey]struct{}, oldCosts *[]units.Money) error {
+// the incremental (node, load) index of fs.Residencies and copies their
+// working state; stream is the video's precomputed StreamBytes().Float(),
+// hoisted out of the candidate loop (every candidate is priced, so the
+// per-candidate work is pure rate arithmetic).
+func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSchedule, r workload.Request, opts Options, seen map[copyKey]struct{}, copies *[]copyState) error {
 	topo := m.Book().Topology()
 	dst := topo.User(r.User).Local
 
@@ -237,24 +255,30 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 		if opts.Policy == NoCaching {
 			continue // dynamic copies disabled
 		}
+		// A dead copy failed its checks for an earlier request and would
+		// fail them again (see copyState).
+		newLast := simtime.Max(c.LastService, r.Start)
+		if (*copies)[j].dead && (opts.reask == nil || !opts.reask(j, extend(c, newLast))) {
+			continue
+		}
 		// Price first: the capacity and ban checks are the expensive
 		// part, and only candidates that would win need them. A request
 		// falling inside the copy's committed span (possible when the
 		// copy is a frozen-prefix record from an earlier epoch) extends
 		// nothing and pays zero marginal storage.
-		newLast := simtime.Max(c.LastService, r.Start)
-		candCost := m.CandidateCost(&v, stream, (*oldCosts)[j], c, newLast, dst)
+		candCost := m.CandidateCost(&v, stream, (*copies)[j].cost, c, newLast, dst)
 		if candCost >= bestCost-moneyEps {
 			continue
 		}
-		extended := *c
-		extended.LastService = newLast
+		extended := extend(c, newLast)
 		if violatesAny(extended, v.Playback, opts.Banned) {
+			(*copies)[j].dead = true
 			continue
 		}
 		if opts.Ledger != nil {
 			ref := occupancy.Ref{Video: v.ID, Index: j}
 			if !opts.Ledger.CanFitExcluding(extended, &ref) {
+				(*copies)[j].dead = true
 				continue
 			}
 		}
@@ -278,7 +302,7 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 		c.Services = append(c.Services, di)
 		if r.Start > c.LastService {
 			c.LastService = r.Start
-			(*oldCosts)[bestRes] = cost.SpanCost(m.Book().SRate(c.Loc), v.Size, v.Playback, c.Span())
+			(*copies)[bestRes].cost = cost.SpanCost(m.Book().SRate(c.Loc), v.Size, v.Playback, c.Span())
 		}
 		if opts.Ledger != nil {
 			// Tentatives are not registered at open time (they occupy
@@ -291,14 +315,21 @@ func serveOne(m *cost.Model, v media.Video, stream float64, fs *schedule.FileSch
 		}
 	}
 
-	openTentative(m, v, fs, di, opts, seen, oldCosts)
+	openTentative(m, v, fs, di, opts, seen, copies)
 	return nil
+}
+
+// extend returns the copy with its last service moved to last.
+func extend(c *schedule.Residency, last simtime.Time) schedule.Residency {
+	out := *c
+	out.LastService = last
+	return out
 }
 
 // openTentative opens zero-span residencies along the new delivery's route
 // per the caching policy. Zero-span copies cost nothing and occupy nothing,
 // so they are free options for later requests; unused ones are pruned.
-func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di int, opts Options, seen map[copyKey]struct{}, oldCosts *[]units.Money) {
+func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di int, opts Options, seen map[copyKey]struct{}, copies *[]copyState) {
 	if opts.Policy == NoCaching {
 		return
 	}
@@ -326,7 +357,7 @@ func openTentative(m *cost.Model, v media.Video, fs *schedule.FileSchedule, di i
 			continue
 		}
 		fs.Residencies = append(fs.Residencies, cand)
-		*oldCosts = append(*oldCosts, 0) // zero span: SpanCost is exactly 0
+		*copies = append(*copies, copyState{}) // zero span: SpanCost is exactly 0
 		seen[key] = struct{}{}
 		// The ledger is deliberately NOT told about the tentative: a
 		// zero-span copy peaks at γ=0 and occupies nothing, so registering

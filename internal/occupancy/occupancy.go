@@ -651,8 +651,15 @@ func (l *Ledger) maskVideo(vid media.VideoID) {
 				// records and sort once, instead of a sorted insert per
 				// record. The insertion sort is stable, so records at equal
 				// times keep insertion order exactly as insertEvent places
-				// them.
-				neg := make([]event, 0, 3*len(es))
+				// them. The buffer is sized to the video's own copies, not
+				// to every entry at the node.
+				own := 0
+				for j := i; j < len(es); j++ {
+					if es[j].ref.Video == vid {
+						own++
+					}
+				}
+				neg := make([]event, 0, 3*own)
 				for j := i; j < len(es); j++ {
 					if es[j].ref.Video != vid {
 						continue

@@ -3,10 +3,11 @@
 // parallel at two points — phase-1 individual file scheduling (every file
 // is planned against an unbounded-storage assumption, §3.2) and phase-2
 // per-candidate victim evaluation (every candidate reschedule works on its
-// own ledger clone, §4.4) — and the pool is how both fan that work across
-// cores without giving up determinism: callers dispatch work by index and
-// merge results in index order, so the outcome is byte-identical to a
-// sequential run regardless of worker count or completion order.
+// own overlay view of the ledger, §4.4) — and the pool is how both fan
+// that work across cores without giving up determinism: callers dispatch
+// work by index and merge results in index order, so the outcome is
+// byte-identical to a sequential run regardless of worker count or
+// completion order.
 package parallel
 
 import (

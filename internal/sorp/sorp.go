@@ -73,10 +73,11 @@ type Options struct {
 	// runs, since rescheduling a victim may grow its residency count).
 	MaxIterations int
 	// Workers bounds the concurrent evaluation of candidate reschedules
-	// during victim selection: each candidate works on its own ledger
-	// clone, and the winner is picked by the same total order as a
-	// sequential run, so the victim sequence is byte-identical for any
-	// worker count. 0 means GOMAXPROCS, 1 forces the sequential path.
+	// during victim selection: each candidate works on its own overlay
+	// view of the ledger, and the winner is picked by the same total
+	// order as a sequential run, so the victim sequence is byte-identical
+	// for any worker count. 0 means GOMAXPROCS, 1 forces the sequential
+	// path.
 	Workers int
 	// Seeds are the pre-placed standing copies per video (strategic
 	// replication). Rescheduling a victim re-seeds them: they are placed
@@ -489,9 +490,9 @@ func liveVictim(work *schedule.Schedule, opts Options, ref occupancy.Ref) (sched
 // the reschedule result is identical and only the improvement term
 // differs. Pairs whose memoized evaluation is still valid (see pairEntry)
 // are reused outright; the rest run fresh. The fresh reschedules are
-// independent — each works on its own ledger clone — so they are evaluated
-// across the worker pool; the clones are taken sequentially up front
-// (Ledger.Clone is a mutation of the source's sharing state) and the
+// independent — each works on its own overlay view — so they are evaluated
+// across the worker pool; the views are taken sequentially up front
+// (Ledger.OverlayWithout builds the base's snapshots in place) and the
 // winner is then picked by a sequential walk in overflow/ref order with
 // the better() total order. Both the memo state and the walk are
 // independent of worker count and completion order, so the selected victim

@@ -20,12 +20,13 @@ import (
 // bytes as the sequential run — same resolved schedule AND the same victim
 // sequence (heat, overhead, window included), since the selection walks the
 // candidates in overflow/ref order with a total order regardless of which
-// worker finished first. Run under -race in CI to surface clone-sharing
-// races.
+// worker finished first. Storage is priced at the hourly rate of the
+// other rigs, so phase 1 caches enough to overflow and every seed runs
+// SORP. Run under -race in CI to surface view-sharing races.
 func TestResolveWorkersByteIdentical(t *testing.T) {
 	for _, seed := range []int64{3, 11, 12} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rig, err := testutil.NewPaperRig(6, 8, 12, 4*units.GB, pricing.PerGBSec(5), pricing.PerGB(500), seed)
+			rig, err := testutil.NewPaperRig(6, 8, 12, 4*units.GB, testutil.PerGBHour(5), pricing.PerGB(500), seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +44,7 @@ func TestResolveWorkersByteIdentical(t *testing.T) {
 				}
 				s.Put(fs)
 			}
-			run := func(workers int) string {
+			run := func(workers int) (string, int) {
 				res, err := Resolve(rig.Model, s, reqs.ByVideo(), Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("Workers=%d: %v", workers, err)
@@ -55,11 +56,14 @@ func TestResolveWorkersByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return string(blob)
+				return string(blob), len(res.Victims)
 			}
-			want := run(1)
+			want, victims := run(1)
+			if victims == 0 {
+				t.Fatal("no victim: the rig never runs SORP")
+			}
 			for _, workers := range []int{0, 2, 4, 16} {
-				if got := run(workers); got != want {
+				if got, _ := run(workers); got != want {
 					t.Errorf("Workers=%d resolution differs from sequential run", workers)
 				}
 			}
